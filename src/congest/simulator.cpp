@@ -1,6 +1,7 @@
 #include "congest/simulator.h"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <new>
 #include <numeric>
@@ -9,6 +10,10 @@
 #include "runtime/thread_pool.h"
 
 namespace qc::congest {
+
+namespace {
+constexpr std::uint64_t kNoWake = ~std::uint64_t{0};  ///< nobody sleeps
+}  // namespace
 
 std::uint32_t default_bandwidth(NodeId n) {
   const std::uint32_t logn = std::max<std::uint32_t>(1, clog2(std::max<NodeId>(n, 2)));
@@ -45,6 +50,10 @@ void NodeContext::broadcast(const Message& m) {
 
 Rng& NodeContext::rng() { return sim_->node_rngs_[id_]; }
 
+void NodeContext::sleep_until(std::uint64_t round) {
+  sim_->request_sleep(id_, round);
+}
+
 Simulator::Simulator(const WeightedGraph& graph, Config config)
     : graph_(&graph),
       csr_(&graph.csr()),
@@ -62,6 +71,7 @@ Simulator::Simulator(const WeightedGraph& graph, Config config)
   }
   last_active_epoch_.assign(n, 0);
   node_done_.assign(n, 0);
+  wake_round_.assign(n, 0);
   outbox_.resize(n);
   edge_bits_.assign(slots_->directed_edge_count(), 0);
   for (int b = 0; b < 2; ++b) {
@@ -76,6 +86,11 @@ Simulator::Simulator(const WeightedGraph& graph, Config config)
     faults_ = std::make_unique<FaultEngine>(config_.faults, *slots_, n,
                                             config_.seed);
     edge_ordinal_.assign(slots_->directed_edge_count(), 0);
+    for (NodeId v = 0; v < n; ++v) {
+      const std::uint64_t c = faults_->crash_round(v);
+      if (c != FaultEngine::kNeverCrashes) crash_watch_.emplace_back(c, v);
+    }
+    std::sort(crash_watch_.begin(), crash_watch_.end());
   }
 }
 
@@ -777,9 +792,12 @@ void Simulator::merge_outboxes_faulted(int dst) {
 // is removed from the live set so build_actives never schedules it
 // again. crashed_nodes counts crash events that stopped a node that
 // was still running (a node that finished before its crash round is
-// unaffected); doneness is deterministic, so this tally is too.
+// unaffected); doneness is deterministic, so this tally is too. A node
+// asleep at its crash round is still running — its busy-waiting twin
+// would be in live_ — so it is stopped (and counted) in that round,
+// never at its later wake round; skip_idle_rounds never jumps past a
+// crash round, so crash_watch_ sees every one.
 void Simulator::apply_crashes() {
-  if (live_.empty()) return;
   std::size_t keep = 0;
   for (std::size_t i = 0; i < live_.size(); ++i) {
     const NodeId v = live_[i];
@@ -791,15 +809,91 @@ void Simulator::apply_crashes() {
     }
   }
   live_.resize(keep);
+  for (; crash_cursor_ < crash_watch_.size() &&
+         crash_watch_[crash_cursor_].first <= round_;
+       ++crash_cursor_) {
+    const NodeId v = crash_watch_[crash_cursor_].second;
+    if (node_done_[v] == 0 && wake_round_[v] != 0) {
+      node_done_[v] = 1;
+      wake_round_[v] = 0;
+      ++fault_counters_.crashed_nodes;
+    }
+  }
 }
 
-// actives = live (not-done) ∪ touched (has mail) — exactly the nodes the
-// reference engine would run: done nodes with empty inboxes are silent.
-// live_ is always sorted; touched_ arrives in first-receipt order, so
-// dense rounds use one O(n) flag scan (node_done_ is maintained for
-// every node, and a node outside live_ is exactly a node with
-// node_done_ set) while sparse rounds sort the short touched list and
-// merge — the active-set design stays sub-O(n) when activity is sparse.
+void Simulator::request_sleep(NodeId v, std::uint64_t until) {
+  if (last_active_epoch_[v] != epoch_) {
+    throw ModelError("node " + std::to_string(v) +
+                     " called sleep_until outside its own activation");
+  }
+  if (until > round_ + 1) wake_round_[v] = until;
+}
+
+// Moves the sleepers due this round into live_ (awake again), keeping it
+// sorted. Live heap entries are popped exactly in their round — the
+// clock never jumps past the earliest one — so every due sleeper has
+// wake round == round_ and pops in ascending node order.
+void Simulator::wake_sleepers() {
+  const std::size_t awake = live_.size();
+  while (!sleepers_.empty() && sleepers_.front().first <= round_) {
+    const auto [w, v] = sleepers_.front();
+    std::pop_heap(sleepers_.begin(), sleepers_.end(), std::greater<>{});
+    sleepers_.pop_back();
+    if (wake_round_[v] != w || node_done_[v] != 0) continue;  // stale
+    wake_round_[v] = 0;
+    live_.push_back(v);
+  }
+  if (live_.size() != awake) {
+    std::inplace_merge(live_.begin(), live_.begin() + awake, live_.end());
+  }
+}
+
+// Earliest live wake round (dropping stale heap tops), or kNoWake.
+std::uint64_t Simulator::next_wake() {
+  while (!sleepers_.empty()) {
+    const auto [w, v] = sleepers_.front();
+    if (wake_round_[v] == w && node_done_[v] == 0) return w;
+    std::pop_heap(sleepers_.begin(), sleepers_.end(), std::greater<>{});
+    sleepers_.pop_back();
+  }
+  return kNoWake;
+}
+
+// Called when no node is awake and no message (delayed ones included)
+// is in flight: every round before the earliest wake `wake` is idle, so
+// the clock jumps there. The skipped rounds are exactly the busy-waiting
+// twin's idle rounds: each is charged (round_ advances over it), each
+// gets its zero metrics report, and the horizon throws exactly where
+// the twin's round loop would — after reporting round max_rounds. The
+// jump stops at the next plan crash so apply_crashes sees it on time.
+void Simulator::skip_idle_rounds(std::uint64_t wake) {
+  std::uint64_t target = wake;
+  if (crash_cursor_ < crash_watch_.size()) {
+    target = std::min(target, crash_watch_[crash_cursor_].first);
+  }
+  if (target <= round_) return;
+  const std::uint64_t max_rounds = config_.execution.max_rounds;
+  if (config_.hooks.on_round_metrics) {
+    const std::uint64_t last = std::min(target, max_rounds + 1);
+    for (std::uint64_t r = round_; r < last; ++r) {
+      config_.hooks.on_round_metrics(RoundMetrics{r, 0, 0, 0, 0.0});
+    }
+  }
+  if (target > max_rounds) {
+    throw ModelError("simulation exceeded max_rounds=" +
+                     std::to_string(max_rounds));
+  }
+  round_ = target;
+}
+
+// actives = live (awake, not-done) ∪ touched (has mail) — exactly the
+// nodes the reference engine would run: done nodes and sleepers with
+// empty inboxes are silent. live_ is always sorted; touched_ arrives in
+// first-receipt order, so dense rounds use one O(n) flag scan
+// (node_done_ and wake_round_ are maintained for every node, and a node
+// outside live_ is exactly one that is done or asleep) while sparse
+// rounds sort the short touched list and merge — the active-set design
+// stays sub-O(n) when activity is sparse.
 void Simulator::build_actives() {
   actives_.clear();
   auto& touched = touched_[cur_];
@@ -807,12 +901,31 @@ void Simulator::build_actives() {
   if ((touched.size() + live_.size()) * 8 >= n) {
     const char* flag = touched_flag_[cur_].data();
     for (NodeId v = 0; v < n; ++v) {
-      if (node_done_[v] == 0 || flag[v] != 0) actives_.push_back(v);
+      if ((node_done_[v] == 0 && wake_round_[v] == 0) || flag[v] != 0) {
+        actives_.push_back(v);
+      }
     }
   } else {
     std::sort(touched.begin(), touched.end());
     std::set_union(live_.begin(), live_.end(), touched.begin(), touched.end(),
                    std::back_inserter(actives_));
+  }
+}
+
+// Only active nodes can change doneness or sleep; inactive ones kept
+// their state, so the new live set filters straight out of actives_
+// (ascending, so live_ stays sorted) and new sleepers join the heap.
+void Simulator::settle_actives() {
+  live_.clear();
+  for (NodeId v : actives_) {
+    if (node_done_[v] != 0) {
+      wake_round_[v] = 0;
+    } else if (wake_round_[v] != 0) {
+      sleepers_.emplace_back(wake_round_[v], v);
+      std::push_heap(sleepers_.begin(), sleepers_.end(), std::greater<>{});
+    } else {
+      live_.push_back(v);
+    }
   }
 }
 
@@ -833,6 +946,7 @@ void Simulator::run_actives(
   const auto& begin = inbox_begin_[cur_];
   const auto& count = inbox_count_[cur_];
   const auto run_one = [&](NodeId v) {
+    wake_round_[v] = 0;  // every activation starts awake; mail cancels
     const std::span<const Incoming> inbox =
         count[v] != 0
             ? std::span<const Incoming>(arena.data() + begin[v], count[v])
@@ -913,6 +1027,9 @@ RunStats Simulator::run(std::span<const std::unique_ptr<NodeProgram>> programs) 
   std::fill(edge_bits_.begin(), edge_bits_.end(), 0u);
   fault_counters_ = FaultCounters{};
   delayed_.clear();
+  std::fill(wake_round_.begin(), wake_round_.end(), std::uint64_t{0});
+  sleepers_.clear();
+  crash_cursor_ = 0;
   if (faults_) {
     std::fill(edge_ordinal_.begin(), edge_ordinal_.end(), 0u);
   }
@@ -959,13 +1076,13 @@ RunStats Simulator::run(std::span<const std::unique_ptr<NodeProgram>> programs) 
   for (NodeId v = 0; v < n; ++v) {
     programs[v]->on_start(contexts[v]);
   }
-  live_.clear();
-  for (NodeId v = 0; v < n; ++v) {
-    node_done_[v] = programs[v]->done() ? 1 : 0;
-    if (node_done_[v] == 0) live_.push_back(v);
-  }
+  ++epoch_;  // close the start phase
   actives_.resize(n);
   std::iota(actives_.begin(), actives_.end(), NodeId{0});
+  for (NodeId v = 0; v < n; ++v) {
+    node_done_[v] = programs[v]->done() ? 1 : 0;
+  }
+  settle_actives();
   // Start-phase sends are delivered in round 0; round r's sends are
   // delivered in round r+1 (delivery_round_ keys the fault plan).
   delivery_round_ = 0;
@@ -977,8 +1094,13 @@ RunStats Simulator::run(std::span<const std::unique_ptr<NodeProgram>> programs) 
     // arena_[cur_] holds this round's deliveries (merged last phase).
     const bool had_messages = queued_count_ > 0;
     queued_count_ = 0;
-    if (live_.empty() && !had_messages) break;
+    if (live_.empty() && !had_messages) {
+      const std::uint64_t wake = next_wake();
+      if (wake == kNoWake) break;
+      skip_idle_rounds(wake);
+    }
 
+    wake_sleepers();
     if (faults_) apply_crashes();
     build_actives();
     clear_mailbox(1 - cur_);  // two-rounds-ago mail, no longer referenced
@@ -989,13 +1111,8 @@ RunStats Simulator::run(std::span<const std::unique_ptr<NodeProgram>> programs) 
     ++epoch_;
     for (NodeId v : actives_) last_active_epoch_[v] = epoch_;
     run_actives(programs, contexts);
-
-    // Only active nodes can change doneness; inactive ones were done and
-    // stayed done, so the new live set filters straight out of actives_.
-    live_.clear();
-    for (NodeId v : actives_) {
-      if (node_done_[v] == 0) live_.push_back(v);
-    }
+    ++epoch_;  // close the round's program phase
+    settle_actives();
 
     delivery_round_ = round_ + 1;
     do_merge(1 - cur_);

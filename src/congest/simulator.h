@@ -27,6 +27,15 @@
 // over contiguous degree-balanced node ranges, every shard replaying
 // the same order into its own arena region (docs/perf.md, "Sharded
 // mailbox delivery").
+//
+// Quiescent-round skipping (docs/model.md, "Sleeping nodes"): a node may
+// call `NodeContext::sleep_until(r)` to skip its activations until round
+// r; mail cancels the sleep. When no message is in flight and no node is
+// awake, the engine jumps the round counter straight to the earliest
+// wake round. Skipped rounds are still charged to the ledger, reported
+// to `on_round_metrics` (as zero rounds), and checked against
+// `max_rounds`, so a sleeping program and its busy-waiting twin produce
+// identical RunStats, traces, and outputs.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +43,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "congest/faults.h"
@@ -50,7 +60,8 @@ class ThreadPool;  // runtime/thread_pool.h
 namespace qc::congest {
 
 /// Per-round observability snapshot handed to Config::on_round_metrics
-/// after each executed round.
+/// after each round. A round the engine skipped because every live node
+/// was asleep is reported as {round, 0, 0, 0, 0.0}.
 struct RoundMetrics {
   std::uint64_t round = 0;     ///< the round that just executed
   std::uint64_t messages = 0;  ///< messages queued during that round
@@ -119,7 +130,8 @@ struct Config {
     bool record_trace = false;
     /// Opt-in per-round observability hook (e.g. feeding a
     /// runtime::MetricsRegistry via runtime::attach_simulator_metrics).
-    /// Called once after every executed round; empty = no overhead.
+    /// Called once after every round, skipped ones included; empty = no
+    /// overhead.
     std::function<void(const RoundMetrics&)> on_round_metrics;
   };
 
@@ -261,6 +273,15 @@ class NodeContext {
   /// randomness in the CONGEST model).
   Rng& rng();
 
+  /// Skips this node's activations until round `round`: the engine does
+  /// not call on_round before then unless mail arrives first (mail
+  /// cancels the sleep). A sleeping node is not done. Valid only during
+  /// the node's own activation (on_start / on_round) — outside one it
+  /// throws ModelError. A value <= round()+1 is a no-op; a later call in
+  /// the same activation overrides an earlier one. Every activation
+  /// starts awake, so a node that wants to keep sleeping calls it again.
+  void sleep_until(std::uint64_t round);
+
  private:
   friend class Simulator;
   NodeContext(Simulator& sim, NodeId id) : sim_(&sim), id_(id) {}
@@ -284,7 +305,10 @@ class NodeProgram {
   /// pure function of program state, and that state may change only
   /// inside on_start/on_round — the engine caches doneness between
   /// activations and re-queries it only after the program runs, so a
-  /// done node with an empty inbox is skipped entirely.
+  /// done node with an empty inbox is skipped entirely. A node asleep
+  /// (NodeContext::sleep_until) is not done: it keeps the run alive
+  /// until it wakes, so a program that sleeps must wake in its final
+  /// round to flip done().
   virtual bool done() const = 0;
 };
 
@@ -386,6 +410,11 @@ class Simulator {
   std::size_t place_rows(std::span<const NodeId> rows, int dst,
                          std::size_t off);
   void apply_crashes();
+  void request_sleep(NodeId v, std::uint64_t until);
+  void wake_sleepers();
+  std::uint64_t next_wake();
+  void skip_idle_rounds(std::uint64_t wake);
+  void settle_actives();
   void clear_mailbox(int b);
   void build_actives();
   void run_actives(std::span<const std::unique_ptr<NodeProgram>> programs,
@@ -402,14 +431,24 @@ class Simulator {
   std::vector<Rng> node_rngs_;
   std::vector<TraceEntry> trace_;
 
-  // Activation bookkeeping: a node may send only during its own
-  // activation (on_start, or on_round while active). Epochs advance once
-  // per phase; last_active_epoch_[v] == epoch_ iff v runs this phase.
+  // Activation bookkeeping: a node may send (or sleep) only during its
+  // own activation (on_start, or on_round while active). Epochs advance
+  // when a program phase opens and again when it closes;
+  // last_active_epoch_[v] == epoch_ iff v is running right now.
   std::uint64_t epoch_ = 0;
   std::vector<std::uint64_t> last_active_epoch_;
   std::vector<char> node_done_;  ///< done() after the node's last run
-  std::vector<NodeId> live_;     ///< sorted ids of not-done nodes
+  std::vector<NodeId> live_;     ///< sorted ids of awake not-done nodes
   std::vector<NodeId> actives_;  ///< scratch: nodes running this round
+
+  // Sleeping nodes (NodeContext::sleep_until). wake_round_[v] != 0 iff v
+  // is asleep until that round; a sleeper is not done and not in live_.
+  // sleepers_ is a min-heap of (wake round, node) with lazy deletion: an
+  // entry is live iff wake_round_[v] still equals its round and v is not
+  // done (mail, a re-sleep, or a crash leaves the old entry stale).
+  using Sleeper = std::pair<std::uint64_t, NodeId>;
+  std::vector<std::uint64_t> wake_round_;
+  std::vector<Sleeper> sleepers_;
 
   // Serial engine (no pool configured): ledger/trace/receiver counts are
   // accounted at queue time — admission order is already (sender id,
@@ -486,6 +525,11 @@ class Simulator {
   // and are identical at any worker count.
   std::unique_ptr<FaultEngine> faults_;
   FaultCounters fault_counters_;
+  /// Plan crashes as (round, node), ascending; crash_cursor_ is the
+  /// first not yet reached. Crashes of sleeping nodes are applied from
+  /// here (awake ones from live_), and the clock never jumps past one.
+  std::vector<std::pair<std::uint64_t, NodeId>> crash_watch_;
+  std::size_t crash_cursor_ = 0;
   /// One message after fault resolution, waiting to be scattered.
   struct Delivery {
     NodeId to;

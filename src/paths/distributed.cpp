@@ -42,7 +42,8 @@ std::uint64_t scaled_distance_bound(const WeightedGraph& g,
 // ---------------------------------------------------------------------
 // Algorithm 2: Bounded-Distance SSSP ("timed release": a node announces
 // its distance exactly in round d(s,v), so with positive integer
-// weights every announcement is final).
+// weights every announcement is final). Between its announcement round
+// and its final round cap+1 a node only waits for mail, so it sleeps.
 // ---------------------------------------------------------------------
 class BoundedDistanceProgram final : public NodeProgram {
  public:
@@ -65,21 +66,24 @@ class BoundedDistanceProgram final : public NodeProgram {
   }
 
   void on_round(NodeContext& ctx, std::span<const Incoming> inbox) override {
+    const Dist now = ctx.round();
     for (const Incoming& in : inbox) {
       const Dist via =
           dist_add(in.msg.field(0), rounded_[ctx.neighbor_slot(in.from)]);
       best_ = std::min(best_, via);
     }
-    if (!announced_ && best_ == round_ && best_ <= cap_) {
+    if (!announced_ && best_ == now && best_ <= cap_) {
       announced_ = true;
       Message m;
       m.push(best_, dist_bits_);
       ctx.broadcast(m);
     }
-    ++round_;
+    finished_ = now >= cap_ + 1;
+    const bool pending = !announced_ && best_ > now && best_ <= cap_;
+    ctx.sleep_until(pending ? best_ : cap_ + 1);
   }
 
-  bool done() const override { return round_ >= cap_ + 2; }
+  bool done() const override { return finished_; }
 
   Dist final_dist() const { return best_ <= cap_ ? best_ : kInfDist; }
 
@@ -90,13 +94,15 @@ class BoundedDistanceProgram final : public NodeProgram {
   std::uint32_t dist_bits_;
   std::vector<std::uint64_t> rounded_;  ///< by neighbour slot
   Dist best_ = kInfDist;
-  Dist round_ = 0;
   bool announced_ = false;
+  bool finished_ = false;
 };
 
 // ---------------------------------------------------------------------
 // Algorithm 1: Bounded-Hop SSSP — one Algorithm 2 pass per weight scale,
-// on a fixed synchronous schedule of (cap+2) rounds per scale.
+// on a fixed synchronous schedule of (cap+2) rounds per scale. A node
+// wakes only for mail, its announcement offset, and each scale's last
+// round (where it finalizes the scale and resets for the next).
 // ---------------------------------------------------------------------
 class BoundedHopProgram final : public NodeProgram {
  public:
@@ -106,6 +112,7 @@ class BoundedHopProgram final : public NodeProgram {
         scale_(scale),
         scales_(scale.scale_count()),
         cap_(scale.rounded_cap()),
+        period_(cap_ + 2),
         dist_bits_(dist_bits) {}
 
   void on_start(NodeContext& ctx) override {
@@ -117,23 +124,28 @@ class BoundedHopProgram final : public NodeProgram {
   }
 
   void on_round(NodeContext& ctx, std::span<const Incoming> inbox) override {
+    const Dist now = ctx.round();
+    const Dist offset = now - scale_index_ * period_;
     for (const Incoming& in : inbox) {
       const std::uint64_t w = scale_.rounded_weight(
           weights_[ctx.neighbor_slot(in.from)], scale_index_);
       best_ = std::min(best_, dist_add(in.msg.field(0), w));
     }
-    if (!announced_ && best_ == offset_ && best_ <= cap_) {
+    if (!announced_ && best_ == offset && best_ <= cap_) {
       announced_ = true;
       Message m;
       m.push(best_, dist_bits_);
       ctx.broadcast(m);
     }
-    ++offset_;
-    if (offset_ == cap_ + 2) {
+    if (offset == cap_ + 1) {
       finalize_scale();
       ++scale_index_;
-      if (scale_index_ < scales_) reset_scale(ctx.id());
+      if (scale_index_ >= scales_) return;
+      reset_scale(ctx.id());
     }
+    const Dist start = scale_index_ * period_;
+    const bool pending = !announced_ && best_ <= cap_ && start + best_ > now;
+    ctx.sleep_until(start + (pending ? best_ : cap_ + 1));
   }
 
   bool done() const override { return scale_index_ >= scales_; }
@@ -143,7 +155,6 @@ class BoundedHopProgram final : public NodeProgram {
  private:
   void reset_scale(NodeId me) {
     best_ = (me == source_) ? 0 : kInfDist;
-    offset_ = 0;
     announced_ = false;
   }
   void finalize_scale() {
@@ -159,11 +170,11 @@ class BoundedHopProgram final : public NodeProgram {
   HopScale scale_;
   std::uint32_t scales_;
   Dist cap_;
+  Dist period_;
   std::uint32_t dist_bits_;
   std::vector<Weight> weights_;  ///< by neighbour slot
   std::uint32_t scale_index_ = 0;
   Dist best_ = kInfDist;
-  Dist offset_ = 0;
   bool announced_ = false;
   Dist dtilde_ = kInfDist;
 };
@@ -176,6 +187,15 @@ class BoundedHopProgram final : public NodeProgram {
 // schedule (scales × (cap+2) windows). Announcements due in a window
 // are queued at its slot 0 and transmitted one per slot; more than
 // `slot_count` due messages is the algorithm's failure event.
+//
+// Most windows are idle for most nodes, so a node sleeps between
+// events: its slot-0 work changes state only at an instance's scale
+// boundary or at a due announcement, and next_event_ holds the earliest
+// such window. It is recomputed in O(b) at slot 0 and lowered in O(1)
+// by an arrival that lowers cur_[a] — arrivals are the only other
+// state change. A node stays awake while its queue drains and always
+// wakes in the final round, so done() and the round count are those of
+// the always-awake schedule.
 // ---------------------------------------------------------------------
 class MultiSourceProgram final : public NodeProgram {
  public:
@@ -195,6 +215,7 @@ class MultiSourceProgram final : public NodeProgram {
     const std::uint64_t max_delay =
         *std::max_element(delays.begin(), delays.end());
     total_windows_ = max_delay + t_logical_ + 1;
+    total_rounds_ = total_windows_ * slot_count_;
     const std::size_t b = sources.size();
     cur_.assign(b, kInfDist);
     announced_.assign(b, false);
@@ -209,8 +230,9 @@ class MultiSourceProgram final : public NodeProgram {
   }
 
   void on_round(NodeContext& ctx, std::span<const Incoming> inbox) override {
-    const std::uint64_t window = local_round_ / slot_count_;
-    const std::uint64_t slot = local_round_ % slot_count_;
+    const std::uint64_t now = ctx.round();
+    const std::uint64_t window = now / slot_count_;
+    const std::uint64_t slot = now % slot_count_;
 
     if (slot == 0) {
       // Per-instance schedule updates: finalize completed scales, reset
@@ -246,7 +268,15 @@ class MultiSourceProgram final : public NodeProgram {
                    scale_.rounded_weight(
                        weights_[ctx.neighbor_slot(in.from)],
                        static_cast<std::uint32_t>(tau / period_)));
-      cur_[a] = std::min(cur_[a], via);
+      if (via < cur_[a]) {
+        cur_[a] = via;
+        // A later slot 0 of this scale announces it (an offset already
+        // passed never comes back).
+        const std::uint64_t offset = tau % period_;
+        if (!announced_[a] && via <= cap_ && via > offset) {
+          next_event_ = std::min(next_event_, window - offset + via);
+        }
+      }
     }
 
     if (slot == 0) {
@@ -269,22 +299,49 @@ class MultiSourceProgram final : public NodeProgram {
             "window at node " +
             std::to_string(ctx.id()));
       }
+      next_event_ = next_event_after(window);
     }
 
     if (!queue_.empty()) {
       ctx.broadcast(queue_.front());
       queue_.erase(queue_.begin());
     }
-    ++local_round_;
+    finished_ = now + 1 >= total_rounds_;
+    if (queue_.empty()) {
+      // The next event window's slot 0, and the final round at the latest.
+      const std::uint64_t event_round =
+          std::min(next_event_, total_windows_) * slot_count_;
+      ctx.sleep_until(std::min(event_round, total_rounds_ - 1));
+    }
   }
 
-  bool done() const override {
-    return local_round_ >= total_windows_ * slot_count_;
-  }
+  bool done() const override { return finished_; }
 
   Dist approx(std::size_t a) const { return dtilde_[a]; }
 
  private:
+  /// Earliest window after `window` whose slot 0 changes state: an
+  /// instance's next scale boundary (its start, a scale end, or its
+  /// final finalize) or its pending announcement in the current scale.
+  std::uint64_t next_event_after(std::uint64_t window) const {
+    std::uint64_t next = kNoEvent;
+    for (std::size_t a = 0; a < sources_->size(); ++a) {
+      const std::uint64_t delay = (*delays_)[a];
+      if (window < delay) {
+        next = std::min(next, delay);
+        continue;
+      }
+      const std::uint64_t tau = window - delay;
+      if (tau >= t_logical_) continue;
+      const std::uint64_t offset = tau % period_;
+      next = std::min(next, window - offset + period_);
+      if (!announced_[a] && cur_[a] <= cap_ && cur_[a] > offset) {
+        next = std::min(next, window - offset + cur_[a]);
+      }
+    }
+    return next;
+  }
+
   void finalize_scale(std::size_t a, std::uint32_t j) {
     if (cur_[a] <= cap_) {
       const Dist shifted = cur_[a] << j;
@@ -303,14 +360,18 @@ class MultiSourceProgram final : public NodeProgram {
   std::uint64_t slot_count_;
   std::uint32_t inst_bits_;
   std::uint32_t dist_bits_;
+  static constexpr std::uint64_t kNoEvent = ~std::uint64_t{0};
+
   std::uint64_t t_logical_ = 0;
   std::uint64_t total_windows_ = 0;
+  std::uint64_t total_rounds_ = 0;
   std::vector<Weight> weights_;  ///< by neighbour slot
   std::vector<Dist> cur_;
   std::vector<bool> announced_;
   std::vector<Dist> dtilde_;
   std::vector<Message> queue_;
-  std::uint64_t local_round_ = 0;
+  std::uint64_t next_event_ = 0;  ///< window; see next_event_after
+  bool finished_ = false;
 };
 
 }  // namespace

@@ -167,8 +167,11 @@ INSTANTIATE_TEST_SUITE_P(Cases, MultiBfsTest, ::testing::Range(0, 6));
 // 3/2-approximation
 // ---------------------------------------------------------------------
 
+// Both fields are 64-bit so the struct has no padding: gtest prints the
+// parameter's raw bytes into the test name, and uninitialised padding
+// would make those names differ from build to build.
 struct ThreeHalvesCase {
-  int topology;
+  std::uint64_t topology;
   std::uint64_t seed;
 };
 

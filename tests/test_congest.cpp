@@ -12,6 +12,8 @@
 #include "congest/simulator.h"
 #include "graph/algorithms.h"
 #include "graph/generators.h"
+#include "runtime/metrics.h"
+#include "runtime/sweep.h"
 #include "util/rng.h"
 
 namespace qc::congest {
@@ -847,6 +849,315 @@ TEST(Simulator, ShardedMergePreservesSingleBroadcastInterleave) {
     EXPECT_EQ(capture(workers, /*sharded_min=*/0), golden)
         << "workers=" << workers;
   }
+}
+
+// ---------------------------------------------------------------------
+// Sleeping nodes (NodeContext::sleep_until). Each contract test runs a
+// sleeping program against its busy-waiting twin — the same logic, but
+// activated every round — and demands the same observable run: ledger,
+// fault counters, trace, and per-round metrics (active_nodes aside: it
+// counts the twin's idle activations).
+// ---------------------------------------------------------------------
+constexpr std::uint64_t kNever = ~std::uint64_t{0};
+
+struct TwinRun {
+  RunOutcome outcome;
+  std::vector<TraceEntry> trace;
+  std::vector<RoundMetrics> metrics;  ///< active_nodes zeroed
+
+  friend bool operator==(const TwinRun&, const TwinRun&) = default;
+};
+
+template <typename Make>
+TwinRun run_twin(const WeightedGraph& g, Config cfg, Make&& make,
+                 std::vector<std::unique_ptr<NodeProgram>>* keep = nullptr) {
+  TwinRun out;
+  cfg.hooks.record_trace = true;
+  cfg.hooks.on_round_metrics = [&out](const RoundMetrics& rm) {
+    RoundMetrics m = rm;
+    m.active_nodes = 0;
+    out.metrics.push_back(m);
+  };
+  std::vector<std::unique_ptr<NodeProgram>> programs;
+  for (NodeId v = 0; v < g.node_count(); ++v) programs.push_back(make(v));
+  Simulator sim(g, cfg);
+  sim.run(programs);
+  out.outcome = sim.outcome();
+  out.trace = sim.trace();
+  if (keep != nullptr) *keep = std::move(programs);
+  return out;
+}
+
+// Each node beacons on its own period and echoes a digest of what it
+// heard a few rounds after mail arrives. State changes only at those
+// rounds or on mail, so the busy twin's extra activations are no-ops;
+// the sleeping variant sleeps until its next due round.
+class BeaconProgram final : public NodeProgram {
+ public:
+  BeaconProgram(bool sleeps, std::uint64_t horizon)
+      : sleeps_(sleeps), horizon_(horizon) {}
+
+  void on_start(NodeContext& ctx) override {
+    next_beacon_ = 5 + (ctx.id() * 37) % 90;
+  }
+  void on_round(NodeContext& ctx, std::span<const Incoming> inbox) override {
+    const std::uint64_t now = ctx.round();
+    for (const Incoming& in : inbox) {
+      digest_ = (digest_ * 31 + in.msg.field(0) + in.from) % 251;
+      if (echo_ == kNever) echo_ = now + 2 + in.from % 4;
+    }
+    if (now == next_beacon_) {
+      Message m;
+      m.push(ctx.id() % 256, 8);
+      ctx.broadcast(m);
+      next_beacon_ += 60 + ctx.id() % 13;
+    }
+    if (now == echo_) {
+      Message m;
+      m.push(digest_, 8);
+      ctx.broadcast(m);
+      echo_ = kNever;
+    }
+    finished_ = now + 1 >= horizon_;
+    if (sleeps_) ctx.sleep_until(std::min({next_beacon_, echo_, horizon_ - 1}));
+  }
+  bool done() const override { return finished_; }
+  std::uint64_t digest() const { return digest_; }
+
+ private:
+  bool sleeps_;
+  std::uint64_t horizon_;
+  std::uint64_t next_beacon_ = 0;
+  std::uint64_t echo_ = kNever;
+  std::uint64_t digest_ = 0;
+  bool finished_ = false;
+};
+
+TEST(SleepUntil, SleepingAndBusyTwinsAreIdenticalAtAnyWorkerCount) {
+  Rng rng(2024);
+  const auto g = gen::erdos_renyi_connected(24, 0.15, rng);
+  const auto capture = [&](bool sleeps, unsigned workers) {
+    Config cfg;
+    cfg.execution.workers = workers;
+    cfg.execution.pooled_round_min_work = 0;
+    cfg.execution.sharded_merge_min_messages = 0;
+    std::vector<std::unique_ptr<NodeProgram>> programs;
+    TwinRun run = run_twin(
+        g, cfg,
+        [&](NodeId) { return std::make_unique<BeaconProgram>(sleeps, 400); },
+        &programs);
+    std::vector<std::uint64_t> digests;
+    for (const auto& p : programs) {
+      digests.push_back(static_cast<const BeaconProgram&>(*p).digest());
+    }
+    return std::pair(std::move(run), std::move(digests));
+  };
+  const auto busy = capture(false, 1);
+  EXPECT_GE(busy.first.outcome.stats.rounds, 400u);
+  EXPECT_FALSE(busy.first.trace.empty());
+  EXPECT_EQ(busy.first.metrics.size(), busy.first.outcome.stats.rounds);
+  for (const unsigned workers : {1u, 2u, 8u}) {
+    EXPECT_EQ(capture(true, workers), busy) << "sleeping, workers=" << workers;
+    EXPECT_EQ(capture(false, workers), busy) << "busy, workers=" << workers;
+  }
+  // The sleeping run really skipped rounds (no node ran in them).
+  Config cfg;
+  std::uint64_t skipped = 0;
+  cfg.hooks.on_round_metrics = [&](const RoundMetrics& rm) {
+    skipped += rm.active_nodes == 0 ? 1 : 0;
+  };
+  run_on_all<BeaconProgram>(
+      g, [&](NodeId) { return std::make_unique<BeaconProgram>(true, 400); },
+      cfg);
+  EXPECT_GT(skipped, 0u);
+}
+
+// Node 0 runs until `send_round`, where it sends node 1 one message
+// (kNever: it is done after round 0); node 1 runs until round `wake`.
+// Both record every round they run in.
+class PingSleeperProgram final : public NodeProgram {
+ public:
+  PingSleeperProgram(bool sleeps, std::uint64_t send_round, std::uint64_t wake)
+      : sleeps_(sleeps), send_round_(send_round), wake_(wake) {}
+
+  void on_round(NodeContext& ctx, std::span<const Incoming>) override {
+    const std::uint64_t now = ctx.round();
+    ran_.push_back(now);
+    const std::uint64_t until = ctx.id() == 0 ? send_round_ : wake_;
+    if (ctx.id() == 0 && now == send_round_) {
+      Message m;
+      m.push(1, 1);
+      ctx.send(1, m);
+    }
+    finished_ = until == kNever || now >= until;
+    if (sleeps_ && !finished_) ctx.sleep_until(until);
+  }
+  bool done() const override { return finished_; }
+  const std::vector<std::uint64_t>& ran() const { return ran_; }
+
+ private:
+  bool sleeps_;
+  std::uint64_t send_round_;
+  std::uint64_t wake_;
+  std::vector<std::uint64_t> ran_;
+  bool finished_ = false;
+};
+
+// Runs the sleeping PingSleeper and its busy twin on a 2-node path;
+// returns the sleeping run (with node 1's activation rounds) after
+// checking the twin agrees.
+std::pair<TwinRun, std::vector<std::uint64_t>> ping_sleeper(
+    std::uint64_t send_round, std::uint64_t wake, const Config& cfg = {}) {
+  const auto g = gen::path(2);
+  std::vector<std::unique_ptr<NodeProgram>> programs;
+  const TwinRun sleeping = run_twin(
+      g, cfg,
+      [&](NodeId) {
+        return std::make_unique<PingSleeperProgram>(true, send_round, wake);
+      },
+      &programs);
+  const TwinRun busy = run_twin(g, cfg, [&](NodeId) {
+    return std::make_unique<PingSleeperProgram>(false, send_round, wake);
+  });
+  EXPECT_EQ(sleeping, busy);
+  return {sleeping,
+          static_cast<const PingSleeperProgram&>(*programs[1]).ran()};
+}
+
+TEST(SleepUntil, MailWakesASleeperEarly) {
+  const auto [run, ran] = ping_sleeper(/*send_round=*/5, /*wake=*/100);
+  EXPECT_EQ(ran, (std::vector<std::uint64_t>{0, 6, 100}));
+  EXPECT_EQ(run.outcome.stats, (RunStats{101, 1, 1}));
+}
+
+TEST(SleepUntil, SkippedRoundsReportOneZeroMetricEach) {
+  const auto [run, ran] = ping_sleeper(kNever, /*wake=*/50);
+  EXPECT_EQ(ran, (std::vector<std::uint64_t>{0, 50}));
+  ASSERT_EQ(run.metrics.size(), run.outcome.stats.rounds);
+  for (std::uint64_t r = 0; r < run.metrics.size(); ++r) {
+    EXPECT_EQ(run.metrics[r], (RoundMetrics{r, 0, 0, 0, 0.0})) << "round " << r;
+  }
+  // Unzeroed: the skipped rounds report no active node.
+  const auto g = gen::path(2);
+  Config cfg;
+  std::vector<RoundMetrics> raw;
+  cfg.hooks.on_round_metrics = [&](const RoundMetrics& rm) {
+    raw.push_back(rm);
+  };
+  run_on_all<PingSleeperProgram>(
+      g,
+      [](NodeId) { return std::make_unique<PingSleeperProgram>(true, kNever, 50); },
+      cfg);
+  ASSERT_EQ(raw.size(), 51u);
+  EXPECT_EQ(raw[0].active_nodes, 2u);
+  for (std::uint64_t r = 1; r < 50; ++r) EXPECT_EQ(raw[r].active_nodes, 0u);
+  EXPECT_EQ(raw[50].active_nodes, 1u);
+  // attach_simulator_metrics' round counter still equals RunStats.rounds.
+  runtime::MetricsRegistry registry;
+  Config attached;
+  runtime::attach_simulator_metrics(attached, registry);
+  const auto res = run_on_all<PingSleeperProgram>(
+      g,
+      [](NodeId) { return std::make_unique<PingSleeperProgram>(true, kNever, 50); },
+      attached);
+  EXPECT_EQ(registry.counter("sim.rounds").value(), res.stats.rounds);
+}
+
+TEST(SleepUntil, JumpPastMaxRoundsThrowsExactlyWhenTheBusyTwinThrows) {
+  const auto g = gen::path(2);
+  for (const std::uint64_t max_rounds : {99u, 100u, 101u, 150u}) {
+    const auto attempt = [&](bool sleeps) {
+      Config cfg;
+      cfg.execution.max_rounds = max_rounds;
+      std::vector<RoundMetrics> metrics;
+      cfg.hooks.on_round_metrics = [&](const RoundMetrics& rm) {
+        metrics.push_back(rm);
+      };
+      bool threw = false;
+      try {
+        run_on_all<PingSleeperProgram>(
+            g,
+            [&](NodeId) {
+              return std::make_unique<PingSleeperProgram>(sleeps, kNever, 100);
+            },
+            cfg);
+      } catch (const ModelError&) {
+        threw = true;
+      }
+      return std::pair(threw, metrics.size());
+    };
+    const auto busy = attempt(false);
+    EXPECT_EQ(attempt(true), busy) << "max_rounds=" << max_rounds;
+    // The run needs rounds 0..100, i.e. 101 rounds.
+    EXPECT_EQ(busy.first, max_rounds < 101) << "max_rounds=" << max_rounds;
+    EXPECT_EQ(busy.second, std::min<std::uint64_t>(max_rounds + 1, 101));
+  }
+}
+
+TEST(SleepUntil, CrashedSleeperIsCountedOnce) {
+  // Crash before the wake round, at it, and after node 1 finished.
+  const struct {
+    std::uint64_t crash;
+    std::uint64_t rounds;
+    std::uint64_t crashed;
+  } cases[] = {{30, 31, 1}, {100, 101, 1}, {150, 101, 0}};
+  for (const auto& c : cases) {
+    Config cfg;
+    cfg.faults.crashes.push_back(CrashEvent{1, c.crash});
+    const auto [run, ran] = ping_sleeper(kNever, /*wake=*/100, cfg);
+    EXPECT_EQ(run.outcome.faults.crashed_nodes, c.crashed)
+        << "crash=" << c.crash;
+    EXPECT_EQ(run.outcome.stats.rounds, c.rounds) << "crash=" << c.crash;
+    EXPECT_EQ(ran.back(), c.crashed != 0 ? 0u : 100u) << "crash=" << c.crash;
+  }
+}
+
+TEST(SleepUntil, DelayedMessagePinsTheClock) {
+  Config cfg;
+  FaultEvent delay;
+  delay.round = 6;  // delivery round of node 0's round-5 send
+  delay.from = 0;
+  delay.to = 1;
+  delay.kind = FaultKind::kDelay;
+  delay.delay_rounds = 20;
+  cfg.faults.events.push_back(delay);
+  const auto [run, ran] = ping_sleeper(/*send_round=*/5, /*wake=*/100, cfg);
+  EXPECT_EQ(ran, (std::vector<std::uint64_t>{0, 26, 100}));
+  EXPECT_EQ(run.outcome.faults.delayed, 1u);
+  EXPECT_EQ(run.outcome.stats.rounds, 101u);
+}
+
+// Node 1 is done after on_start, so it never runs in round 0; node 0
+// then calls sleep_until on node 1's (stashed) context.
+class ForeignSleepProgram final : public NodeProgram {
+ public:
+  explicit ForeignSleepProgram(std::vector<NodeContext*>& contexts)
+      : contexts_(&contexts) {}
+  void on_start(NodeContext& ctx) override {
+    (*contexts_)[ctx.id()] = &ctx;
+    id_ = ctx.id();
+  }
+  void on_round(NodeContext& ctx, std::span<const Incoming>) override {
+    if (ctx.id() == 0) (*contexts_)[1]->sleep_until(10);
+    ran_ = true;
+  }
+  bool done() const override { return id_ == 1 || ran_; }
+
+ private:
+  std::vector<NodeContext*>* contexts_;
+  NodeId id_ = 0;
+  bool ran_ = false;
+};
+
+TEST(SleepUntil, OutsideAnActivationThrowsModelError) {
+  const auto g = gen::path(2);
+  std::vector<NodeContext*> contexts(2, nullptr);
+  EXPECT_THROW(run_on_all<ForeignSleepProgram>(
+                   g,
+                   [&](NodeId) {
+                     return std::make_unique<ForeignSleepProgram>(contexts);
+                   }),
+               ModelError);
 }
 
 }  // namespace

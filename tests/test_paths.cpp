@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 
 #include "graph/algorithms.h"
 #include "graph/generators.h"
@@ -182,6 +183,141 @@ TEST_P(Alg3Test, MatchesReferenceForAllSources) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Alg3Test,
                          ::testing::Range<std::uint64_t>(1, 6));
+
+// ---------------------------------------------------------------------
+// Algorithm 3 byte pin: one FNV-1a hash over everything a run exposes —
+// RunStats, attempts, the approx rows, and the on_round_metrics series
+// of (round, messages, bits, utilization) across the delay flood and
+// every attempt — recorded on the always-awake engine and checked at
+// workers 1/2/8 with the pooled program phase and the sharded merge
+// forced on, with and without a fault plan.
+// ---------------------------------------------------------------------
+struct Fnv1a {
+  std::uint64_t h = 14695981039346656037ull;
+  void add(std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (x >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  }
+};
+
+struct Alg3Pin {
+  std::uint64_t hash = 0;
+  std::uint32_t attempts = 0;
+};
+
+Alg3Pin alg3_pin(const WeightedGraph& g, const std::vector<NodeId>& sources,
+                 const HopScale& hs, std::uint64_t delay_seed,
+                 unsigned workers, bool faulted) {
+  congest::Config cfg;
+  cfg.execution.workers = workers;
+  cfg.execution.pooled_round_min_work = 0;
+  cfg.execution.sharded_merge_min_messages = 0;
+  Fnv1a f;
+  cfg.hooks.on_round_metrics = [&f](const congest::RoundMetrics& rm) {
+    f.add(rm.round);
+    f.add(rm.messages);
+    f.add(rm.bits);
+    f.add(std::bit_cast<std::uint64_t>(rm.max_edge_utilization));
+  };
+  if (faulted) {
+    cfg.faults.crashes.push_back(congest::CrashEvent{3, 400});
+    cfg.faults.probabilities.drop = 0.05;
+    cfg.faults.link_down.push_back(
+        congest::LinkDownInterval{0, g.neighbors(0).front().to, 100, 900});
+  }
+  Rng rng(delay_seed);
+  const auto res = distributed_multi_source_bhs(
+      g, RunRequest{}.with_sources(sources).with_scale(hs).with_rng(rng)
+             .with_config(cfg));
+  f.add(res.stats.rounds);
+  f.add(res.stats.messages);
+  f.add(res.stats.bits);
+  f.add(res.attempts);
+  for (const auto& row : res.approx) {
+    for (const Dist d : row) f.add(d);
+  }
+  return {f.h, res.attempts};
+}
+
+struct Alg3PinCase {
+  const char* name;
+  WeightedGraph g;
+  std::vector<NodeId> sources;
+  HopScale hs;
+  std::uint64_t delay_seed;
+  std::uint32_t attempts;  ///< fault-free attempts
+  std::uint64_t golden;    ///< fault-free hash
+  std::uint64_t golden_faulted;
+};
+
+std::vector<Alg3PinCase> alg3_pin_cases() {
+  std::vector<Alg3PinCase> cases;
+  const auto g = test_graph(73, 16, 6);
+  cases.push_back({"er16", g, {1, 4, 9, 13}, HopScale{5, 3, g.max_weight()},
+                   3, 1, 0xc7a43c130d7ca559ull, 0x2e9b43d9eaf4a6b4ull});
+  // Dense all-sources instances whose delay draws overflow a window:
+  // they pin the retry path (3/2/4 attempts).
+  const struct {
+    std::uint64_t seed;
+    std::uint32_t attempts;
+    std::uint64_t golden, golden_faulted;
+  } retry[] = {{2, 3, 0x375da947e49b9370ull, 0xad7092ccba07398bull},
+               {11, 2, 0x54f9b7ddf46e0e44ull, 0xdc0a44031bf6a34bull},
+               {12, 4, 0xf19dd2be88c6ffd4ull, 0x88d01e780c8189bcull}};
+  for (const auto& r : retry) {
+    Rng rng(r.seed);
+    auto dense = gen::erdos_renyi_connected(12, 0.6, rng);
+    dense = gen::randomize_weights(dense, 2, rng);
+    std::vector<NodeId> all(12);
+    for (NodeId v = 0; v < 12; ++v) all[v] = v;
+    const HopScale hs{3, 1, dense.max_weight()};
+    cases.push_back({"retry", dense, all, hs, r.seed, r.attempts, r.golden,
+                     r.golden_faulted});
+  }
+  return cases;
+}
+
+TEST(Alg3Pin, GoldenHashAtEveryWorkerCountWithAndWithoutFaults) {
+  for (const auto& c : alg3_pin_cases()) {
+    for (const unsigned workers : {1u, 2u, 8u}) {
+      const auto clean =
+          alg3_pin(c.g, c.sources, c.hs, c.delay_seed, workers, false);
+      EXPECT_EQ(clean.attempts, c.attempts)
+          << c.name << " seed=" << c.delay_seed << " workers=" << workers;
+      EXPECT_EQ(clean.hash, c.golden)
+          << c.name << " seed=" << c.delay_seed << " workers=" << workers;
+      const auto faulted =
+          alg3_pin(c.g, c.sources, c.hs, c.delay_seed, workers, true);
+      EXPECT_EQ(faulted.hash, c.golden_faulted)
+          << c.name << " seed=" << c.delay_seed << " workers=" << workers
+          << " (faulted)";
+    }
+  }
+}
+
+// Algorithm 3's nodes sleep between their scale boundaries and due
+// announcements: most node-rounds of the run are never activated (7%
+// here; the always-awake schedule activates all of them).
+TEST(Alg3Pin, NodesSleepThroughIdleWindows) {
+  const auto g = test_graph(73, 16, 6);
+  congest::Config cfg;
+  std::uint64_t rounds = 0;
+  std::uint64_t activations = 0;
+  cfg.hooks.on_round_metrics = [&](const congest::RoundMetrics& rm) {
+    ++rounds;
+    activations += rm.active_nodes;
+  };
+  Rng rng(3);
+  const auto res = distributed_multi_source_bhs(
+      g, RunRequest{}.with_sources({1, 4, 9, 13})
+             .with_scale(HopScale{5, 3, g.max_weight()})
+             .with_rng(rng)
+             .with_config(cfg));
+  EXPECT_EQ(rounds, res.stats.rounds);
+  EXPECT_LT(activations * 4, rounds * g.node_count());
+}
 
 // ---------------------------------------------------------------------
 // Algorithms 4+5 vs the reference skeleton (bit exact)

@@ -14,6 +14,13 @@
 #                                      # test_service) — this is the run
 #                                      # that covers the shard-parallel
 #                                      # mailbox merge
+#   tools/run_tier1.sh --asan          # the same suites under
+#   tools/run_tier1.sh --ubsan         # AddressSanitizer / UBSan
+#                                      # (build-address/,
+#                                      # build-undefined/) — covers the
+#                                      # simulator's sleeper heap and
+#                                      # clock jumps under all three
+#                                      # sanitizers
 #   tools/run_tier1.sh --bench-gate    # re-run bench_congest_sim (plus
 #                                      # the bench_datasets and
 #                                      # bench_dynamic smoke tiers) and
@@ -29,8 +36,10 @@
 # src/graph, the TSan configuration is the one that matters most;
 # sanitized builds use build-<sanitizer>/ so they never pollute the
 # primary build tree. `--tsan` is the quick opt-in: it builds with
-# QC_SANITIZE=thread and runs only the two suites that exercise the
-# pool, rather than the full (slow under TSan) ctest sweep. The congest
+# QC_SANITIZE=thread and runs only the suites that exercise the pool,
+# rather than the full (slow under TSan) ctest sweep; `--asan` and
+# `--ubsan` run the same suite list under QC_SANITIZE=address and
+# undefined. The congest
 # and paths suites joined the list when the simulator gained its
 # pool-parallel round loop (Config::workers), and the service suite
 # joined when src/service added a resident QueryEngine with a
@@ -39,16 +48,19 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-TSAN_ONLY=0
+QUICK_SANITIZER=""
 FAULTS_ONLY=0
 BENCH_GATE=0
 for arg in "$@"; do
   case "$arg" in
-    --tsan) TSAN_ONLY=1 ;;
+    --tsan) QUICK_SANITIZER=thread ;;
+    --asan) QUICK_SANITIZER=address ;;
+    --ubsan) QUICK_SANITIZER=undefined ;;
     --faults) FAULTS_ONLY=1 ;;
     --bench-gate) BENCH_GATE=1 ;;
     *)
-      echo "usage: tools/run_tier1.sh [--tsan] [--faults] [--bench-gate]" >&2
+      echo "usage: tools/run_tier1.sh [--tsan|--asan|--ubsan] [--faults]" \
+        "[--bench-gate]" >&2
       exit 2
       ;;
   esac
@@ -94,12 +106,15 @@ if [ "$BENCH_GATE" -eq 1 ]; then
   exit 0
 fi
 
-if [ "$TSAN_ONLY" -eq 1 ]; then
-  BUILD_DIR=build-thread
-  cmake -B "$BUILD_DIR" -S . -DQC_SANITIZE=thread
+if [ -n "$QUICK_SANITIZER" ]; then
+  BUILD_DIR="build-$QUICK_SANITIZER"
+  cmake -B "$BUILD_DIR" -S . -DQC_SANITIZE="$QUICK_SANITIZER"
   cmake --build "$BUILD_DIR" -j --target \
     test_graph test_runtime test_congest test_paths test_faults \
     test_theorem11 test_service
+  # UBSan reports and continues by default; make a finding fail the run.
+  UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1${UBSAN_OPTIONS:+:$UBSAN_OPTIONS}"
+  export UBSAN_OPTIONS
   # Run the binaries directly: gtest_discover_tests registers per-test
   # ctest entries at build time, so a target-filtered build may not have
   # a complete ctest manifest.
