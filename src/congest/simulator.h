@@ -98,7 +98,9 @@ struct Config {
     /// data read-only) — every program in this library already does.
     unsigned workers = 1;
     /// Optional borrowed pool for the round loop; overrides `workers`.
-    /// The pool must not be one the caller is currently blocking on.
+    /// A run started on one of this pool's own workers is safe but
+    /// gains nothing: nested `runtime::parallel_for` calls run inline
+    /// on the calling worker.
     runtime::ThreadPool* pool = nullptr;
     /// Pooled runs only: a merge phase that queued at least this many
     /// deliveries uses the shard-parallel mailbox merge; below it the

@@ -181,13 +181,19 @@ Theorem11Result run(const WeightedGraph& g, bool radius,
     owned_cache.emplace(g, out.params);
   }
   paths::ToolkitCache& cache = opt.toolkit ? *opt.toolkit : *owned_cache;
-  std::optional<runtime::ThreadPool> pool;
-  if (pooled) pool.emplace(opt.oracle_workers);
+  // The pooled modes run on the borrowed pool when one is lent, else on
+  // a pool private to this run.
+  std::optional<runtime::ThreadPool> owned_pool;
+  runtime::ThreadPool* pool = nullptr;
+  if (pooled) {
+    pool = opt.pool != nullptr ? opt.pool
+                               : &owned_pool.emplace(opt.oracle_workers);
+  }
 
   // Batched prefetch: every evaluation reads only first-level rows of
   // its members, and the amplitude-exact search touches every set, so
   // fill the union's rows once — chunked across the pool when present.
-  cache.ensure_rows(member_union, pool ? &*pool : nullptr);
+  cache.ensure_rows(member_union, pool);
 
   std::vector<paths::Skeleton> skeletons;  // eager modes only
   std::vector<std::int64_t> prefill(n, 0);

@@ -24,9 +24,11 @@
 // the historical behaviour) or lazily (a memoized value callback backed
 // by the trimmed `ToolkitCache::evaluate_set`, with only the measured
 // set ever materialized as a full `Skeleton`), serially or batched onto
-// the qc_pool work-stealing pool. All four modes produce a semantically
-// identical `Theorem11Result` for the same options (asserted by
-// tests/test_theorem11.cpp) — only the run-report diagnostics in
+// the qc_pool work-stealing pool — a private one per run, or a pool the
+// caller lends through `Theorem11Options::pool` (the service::QueryEngine
+// lends its own). All four modes produce a semantically identical
+// `Theorem11Result` for the same options at any worker count (asserted
+// by tests/test_theorem11.cpp) — only the run-report diagnostics in
 // `Theorem11Result::oracle` and `Theorem11Result::phase_seconds` differ.
 #pragma once
 
@@ -39,6 +41,7 @@
 
 namespace qc::runtime {
 class MetricsRegistry;  // runtime/metrics.h
+class ThreadPool;       // runtime/thread_pool.h
 }
 
 namespace qc::paths {
@@ -82,6 +85,13 @@ struct Theorem11Options {
   /// Worker count for the pooled modes (0 = hardware concurrency).
   /// Results are byte-identical at any worker count.
   unsigned oracle_workers = 0;
+  /// Optional pool for the pooled modes (borrowed; must outlive the
+  /// call), with the same contract as `congest::Config::Execution::pool`.
+  /// When set it overrides `oracle_workers` and the run constructs no
+  /// pool of its own, so repeated runs — the service::QueryEngine lends
+  /// its engine pool — share one set of workers. Ignored by the serial
+  /// modes. Never changes the answer.
+  runtime::ThreadPool* pool = nullptr;
   /// Run the all-sets ground-truth census: the exact oracle answer, the
   /// approximation ratio / sandwich check, and the Lemma 3.4 good-set
   /// count. Off by default — the default run pays only for the search

@@ -80,11 +80,17 @@ struct ThreadPool::Impl {
     return static_cast<unsigned>(threads_.size());
   }
 
- private:
-  unsigned home_queue() {
+  /// The calling thread's worker index in this pool, if it is one.
+  std::optional<unsigned> worker_index() const {
     for (unsigned w = 0; w < threads_.size(); ++w) {
       if (std::this_thread::get_id() == threads_[w].get_id()) return w;
     }
+    return std::nullopt;
+  }
+
+ private:
+  unsigned home_queue() {
+    if (const auto w = worker_index()) return *w;
     return next_external_.fetch_add(1, std::memory_order_relaxed) %
            static_cast<unsigned>(queues_.size());
   }
@@ -152,6 +158,10 @@ ThreadPool::~ThreadPool() = default;
 
 unsigned ThreadPool::worker_count() const { return impl_->worker_count(); }
 
+bool ThreadPool::on_worker_thread() const {
+  return impl_->worker_index().has_value();
+}
+
 void ThreadPool::submit(std::function<void()> task) {
   QC_REQUIRE(static_cast<bool>(task), "cannot submit an empty task");
   impl_->submit(std::move(task));
@@ -218,6 +228,21 @@ void parallel_for_ranges(
 void parallel_for(ThreadPool& pool, std::size_t count,
                   const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;
+  if (pool.on_worker_thread()) {
+    // Nested call from one of this pool's own workers: fanning out and
+    // blocking would hold the worker without lending its thread (on a
+    // 1-worker pool, forever), so the caller runs every index itself.
+    std::exception_ptr first_error;
+    for (std::size_t i = 0; i < count; ++i) {
+      try {
+        fn(i);
+      } catch (...) {
+        if (!first_error) first_error = std::current_exception();
+      }
+    }
+    if (first_error) std::rethrow_exception(first_error);
+    return;
+  }
   struct Shared {
     std::atomic<std::size_t> remaining;
     std::mutex mutex;

@@ -44,6 +44,9 @@ class ThreadPool {
 
   unsigned worker_count() const;
 
+  /// True when the calling thread is one of this pool's workers.
+  bool on_worker_thread() const;
+
   /// Enqueues one task. From a worker thread the task lands on that
   /// worker's own deque (cheap, stealable); from outside, deques are fed
   /// round-robin.
@@ -59,7 +62,10 @@ class ThreadPool {
 
 /// Runs `fn(0), fn(1), ..., fn(count-1)` on the pool and blocks until
 /// all complete. If any invocation throws, the first captured exception
-/// is rethrown here (remaining tasks still run to completion).
+/// is rethrown here (remaining tasks still run to completion). Called
+/// from one of `pool`'s own workers (a nested call), it runs every
+/// index inline on that worker in index order instead, so nesting
+/// never deadlocks, even on a 1-worker pool.
 void parallel_for(ThreadPool& pool, std::size_t count,
                   const std::function<void(std::size_t)>& fn);
 

@@ -5,8 +5,12 @@
 
 #include <atomic>
 #include <cctype>
+#include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <future>
 #include <iterator>
 #include <set>
 #include <string>
@@ -177,6 +181,62 @@ TEST(ThreadPool, ParallelMapPreservesInputOrder) {
   });
   ASSERT_EQ(out.size(), 100u);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(out[i], i * i);
+}
+
+/// Runs `body` on a helper thread and rethrows what it throws. A body
+/// still running after a minute is taken for a deadlock: a deadlocked
+/// pool cannot be joined, so the test cannot unwind, and the binary
+/// exits with a failure instead of hanging the suite.
+template <typename Fn>
+void run_with_watchdog(const char* what, Fn&& body) {
+  std::packaged_task<void()> task(std::forward<Fn>(body));
+  auto done = task.get_future();
+  std::thread helper(std::move(task));
+  if (done.wait_for(std::chrono::seconds(60)) != std::future_status::ready) {
+    std::fprintf(stderr, "watchdog: %s did not finish within 60 s\n", what);
+    std::_Exit(1);
+  }
+  helper.join();
+  done.get();
+}
+
+// A parallel_for issued from a worker of the same pool runs its indices
+// inline on that worker; before that rule a 1-worker pool hung forever.
+TEST(ThreadPool, NestedParallelForCoversEveryIndexOnce) {
+  for (const unsigned workers : {1u, 2u}) {
+    ThreadPool pool(workers);
+    constexpr std::size_t kOuter = 6;
+    constexpr std::size_t kInner = 5;
+    std::vector<std::atomic<int>> hits(kOuter * kInner);
+    std::atomic<int> inner_on_worker{0};
+    run_with_watchdog("nested parallel_for", [&] {
+      parallel_for(pool, kOuter, [&](std::size_t o) {
+        parallel_for(pool, kInner, [&](std::size_t i) {
+          if (pool.on_worker_thread()) inner_on_worker++;
+          hits[o * kInner + i]++;
+        });
+      });
+    });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << "workers=" << workers;
+    EXPECT_EQ(inner_on_worker.load(), static_cast<int>(hits.size()));
+    EXPECT_FALSE(pool.on_worker_thread());
+  }
+}
+
+TEST(ThreadPool, NestedParallelForRethrowsFirstExceptionAfterEveryIndex) {
+  ThreadPool pool(1);
+  std::atomic<int> ran{0};
+  EXPECT_THROW(run_with_watchdog("nested parallel_for that throws", [&] {
+                 parallel_for(pool, 1, [&](std::size_t) {
+                   parallel_for(pool, 8, [&](std::size_t i) {
+                     ran++;
+                     if (i == 2) throw ArgumentError("boom at 2");
+                     if (i == 5) throw ModelError("second failure");
+                   });
+                 });
+               }),
+               ArgumentError);
+  EXPECT_EQ(ran.load(), 8);
 }
 
 TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {

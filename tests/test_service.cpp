@@ -407,6 +407,91 @@ TEST(QueryEngine, Theorem11HandlerMatchesDirectRunAndSharesCache) {
   EXPECT_LE(radius.value / radius.scale, first.value / first.scale);
 }
 
+// Served Theorem 1.1 runs borrow the engine pool. Under concurrent
+// clients mixing query() and submit(), interleaved with eccentricity
+// reads, every estimate must equal the direct kLazySerial run for its
+// seed at any engine worker count.
+TEST(QueryEngine, Theorem11UnderConcurrentClientsMatchesDirectRuns) {
+  const auto g = test_graph(20, 7);
+  const auto ecc = eccentricities(g);
+  constexpr std::uint64_t kSeeds = 3;
+  std::map<std::pair<bool, std::uint64_t>, core::Theorem11Result> direct;
+  for (const bool radius : {false, true}) {
+    for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+      core::Theorem11Options opt;
+      opt.seed = seed;
+      opt.oracle_mode = core::OracleMode::kLazySerial;
+      direct[{radius, seed}] = radius ? core::quantum_weighted_radius(g, opt)
+                                      : core::quantum_weighted_diameter(g, opt);
+    }
+  }
+
+  std::vector<Query> qs;
+  for (std::uint64_t round = 0; round < 2; ++round) {
+    for (const bool radius : {false, true}) {
+      for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+        Query t11;
+        t11.id = qs.size() + 1;
+        t11.type = radius ? "t11_radius" : "t11_diameter";
+        t11.seed = seed;
+        qs.push_back(t11);
+        Query read;
+        read.id = qs.size() + 1;
+        read.type = "eccentricity";
+        read.node = static_cast<NodeId>((qs.size() * 7) % g.node_count());
+        qs.push_back(read);
+      }
+    }
+  }
+  const auto check = [&](const Query& q, const QueryResult& got,
+                         unsigned workers) {
+    ASSERT_TRUE(got.ok) << got.error;
+    if (q.type == "eccentricity") {
+      EXPECT_EQ(got.value, ecc[q.node]) << "workers=" << workers;
+      return;
+    }
+    const auto& want = direct.at({q.type == "t11_radius", q.seed});
+    EXPECT_EQ(got.value, want.estimate_scaled)
+        << q.type << " seed=" << q.seed << " workers=" << workers;
+    EXPECT_EQ(got.scale, want.total_scale)
+        << q.type << " seed=" << q.seed << " workers=" << workers;
+  };
+
+  for (const unsigned workers : {1u, 2u, 8u}) {
+    EngineOptions opt;
+    opt.workers = workers;  // auto_dispatch on: the background thread drains
+    QueryEngine engine(opt);
+    register_theorem11_handlers(engine);
+    engine.add_graph("g0", g);
+
+    // Four clients over interleaved slices: even clients call query()
+    // synchronously, odd clients submit() and collect futures.
+    constexpr std::size_t kClients = 4;
+    std::vector<std::vector<std::pair<std::size_t, std::future<QueryResult>>>>
+        futs(kClients);
+    std::vector<std::vector<std::pair<std::size_t, QueryResult>>> sync(
+        kClients);
+    std::vector<std::thread> clients;
+    clients.reserve(kClients);
+    for (std::size_t c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        for (std::size_t i = c; i < qs.size(); i += kClients) {
+          if (c % 2 == 0) {
+            sync[c].emplace_back(i, engine.query(qs[i]));
+          } else {
+            futs[c].emplace_back(i, engine.submit(qs[i]));
+          }
+        }
+      });
+    }
+    for (auto& t : clients) t.join();
+    for (std::size_t c = 0; c < kClients; ++c) {
+      for (const auto& [i, got] : sync[c]) check(qs[i], got, workers);
+      for (auto& [i, fut] : futs[c]) check(qs[i], fut.get(), workers);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Memory-mapped resident graphs (ISSUE 10)
 

@@ -14,6 +14,7 @@
 #include "paths/params.h"
 #include "paths/reference.h"
 #include "quantum/framework.h"
+#include "runtime/thread_pool.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -101,6 +102,40 @@ TEST(OracleMode, WorkerCountNeverChangesTheResult) {
       }
     }
   }
+}
+
+// A lent pool (Theorem11Options::pool) replaces the run's private one:
+// same answer as the owned-pool and serial runs, still reported as
+// pooled, and one pool serves consecutive runs.
+TEST(OracleMode, BorrowedPoolMatchesOwnedPoolAndSerial) {
+  const auto g = weighted_test_graph(12, 30, 6);
+  runtime::ThreadPool pool(3);
+  for (const bool radius : {false, true}) {
+    Theorem11Options opt;
+    opt.seed = 29;
+    opt.census = true;
+    const auto run = [&](OracleMode m, runtime::ThreadPool* lent) {
+      Theorem11Options o = opt;
+      o.oracle_mode = m;
+      o.pool = lent;
+      return radius ? quantum_weighted_radius(g, o)
+                    : quantum_weighted_diameter(g, o);
+    };
+    const auto serial = run(OracleMode::kLazySerial, nullptr);
+    const auto owned = run(OracleMode::kLazyPooled, nullptr);
+    const auto borrowed = run(OracleMode::kLazyPooled, &pool);
+    EXPECT_TRUE(semantically_equal(serial, borrowed))
+        << (radius ? "radius" : "diameter");
+    EXPECT_TRUE(semantically_equal(owned, borrowed))
+        << (radius ? "radius" : "diameter");
+    EXPECT_TRUE(borrowed.oracle.pooled);
+    EXPECT_TRUE(borrowed.oracle.lazy);
+    EXPECT_EQ(borrowed.oracle.skeletons_built, 1u);
+    // The eager pooled mode borrows the same pool.
+    EXPECT_TRUE(semantically_equal(
+        serial, run(OracleMode::kEagerPooled, &pool)));
+  }
+  EXPECT_EQ(pool.worker_count(), 3u);
 }
 
 // ---------------------------------------------------------------------

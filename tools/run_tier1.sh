@@ -29,6 +29,13 @@
 #                                      # BENCH_datasets.json /
 #                                      # BENCH_dynamic.json via
 #                                      # tools/check_bench_regression.py
+#   tools/run_tier1.sh --perfbench     # the repository benchmark's
+#                                      # self-test (python3
+#                                      # perfbench/run.py --selftest):
+#                                      # builds .bench_build/, runs the
+#                                      # untraced and traced halves on a
+#                                      # 48-node graph, and checks that
+#                                      # corrupted answers fail the gates
 #   QC_SANITIZE=thread tools/run_tier1.sh   # sanitized build (own tree):
 #                                           # address | undefined | thread
 #
@@ -51,6 +58,7 @@ cd "$(dirname "$0")/.."
 QUICK_SANITIZER=""
 FAULTS_ONLY=0
 BENCH_GATE=0
+PERFBENCH=0
 for arg in "$@"; do
   case "$arg" in
     --tsan) QUICK_SANITIZER=thread ;;
@@ -58,13 +66,21 @@ for arg in "$@"; do
     --ubsan) QUICK_SANITIZER=undefined ;;
     --faults) FAULTS_ONLY=1 ;;
     --bench-gate) BENCH_GATE=1 ;;
+    --perfbench) PERFBENCH=1 ;;
     *)
       echo "usage: tools/run_tier1.sh [--tsan|--asan|--ubsan] [--faults]" \
-        "[--bench-gate]" >&2
+        "[--bench-gate] [--perfbench]" >&2
       exit 2
       ;;
   esac
 done
+
+if [ "$PERFBENCH" -eq 1 ]; then
+  # Repository benchmark self-test (BENCHMARK.json, perfbench/): builds
+  # the benchmark from src/ and exercises its correctness gates on a
+  # smoke-size instance, without timing anything.
+  exec python3 perfbench/run.py --selftest
+fi
 
 if [ "$BENCH_GATE" -eq 1 ]; then
   # Perf regression gate: re-run the simulator bench (base graph only —
