@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <map>
+#include <set>
 
 namespace qc::congest {
 
@@ -188,49 +189,130 @@ class AggregateProgram final : public NodeProgram {
 // Pipelined flooding
 // ---------------------------------------------------------------------
 
+// Flood dedup order: lexicographic over field values (widths do not
+// take part), the order a std::map keyed by the value vector would use.
+// Transparent, so the overflow map below can be probed with a Message.
+struct FieldsLess {
+  using is_transparent = void;
+  bool operator()(const Message& a, const Message& b) const {
+    const std::size_t common = std::min(a.field_count(), b.field_count());
+    for (std::size_t i = 0; i < common; ++i) {
+      if (a.field(i) != b.field(i)) return a.field(i) < b.field(i);
+    }
+    return a.field_count() < b.field_count();
+  }
+};
+
+// Every injected item of one flood, sorted by FieldsLess. Built once
+// and shared read-only by all nodes, so a node's state is one known bit
+// and at most one FIFO entry per item instead of a private copy of
+// every item it has seen.
+class FloodTable {
+ public:
+  static constexpr std::uint32_t kAbsent = ~std::uint32_t{0};
+
+  explicit FloodTable(const std::vector<std::vector<FloodItem>>& initial) {
+    for (const auto& items : initial) {
+      items_.insert(items_.end(), items.begin(), items.end());
+    }
+    std::sort(items_.begin(), items_.end(), FieldsLess{});
+  }
+
+  std::uint32_t size() const { return static_cast<std::uint32_t>(items_.size()); }
+  const FloodItem& at(std::uint32_t i) const { return items_[i]; }
+
+  /// Index of the item whose field values equal m's, or kAbsent.
+  std::uint32_t find(const Message& m) const {
+    const auto it =
+        std::lower_bound(items_.begin(), items_.end(), m, FieldsLess{});
+    if (it == items_.end() || FieldsLess{}(m, *it)) return kAbsent;
+    return static_cast<std::uint32_t>(it - items_.begin());
+  }
+
+ private:
+  std::vector<FloodItem> items_;
+};
+
 // Relays one unseen item per round to all neighbours. With k items total
 // this completes within O(D + k) rounds (Topkis-style pipelined
-// flooding). Items are relayed verbatim; dedup keys on field contents.
+// flooding). Items are relayed verbatim; dedup keys on field values.
+//
+// Every delivered copy of every item lands in learn() (Theta(m * items)
+// calls per flood), so the common case is a binary search of the shared
+// table and a bit test, with no allocation. A copy the table does not
+// hold — a corrupted one under a fault plan, or a copy whose widths
+// differ from the table's entry — is kept in a per-node overflow map;
+// FIFO entries at or past table.size() index overflow_order_.
 class FloodProgram final : public NodeProgram {
  public:
-  explicit FloodProgram(std::vector<FloodItem> initial) {
-    for (FloodItem& item : initial) learn(item);
+  FloodProgram(const FloodTable& table, const std::vector<FloodItem>& initial)
+      : table_(&table), known_((table.size() + 63) / 64, 0) {
+    for (const FloodItem& item : initial) learn(item);
   }
 
   void on_round(NodeContext& ctx, std::span<const Incoming> inbox) override {
     for (const Incoming& in : inbox) learn(in.msg);
-    if (!queue_.empty()) {
-      ctx.broadcast(queue_.front());
-      queue_.pop_front();
+    if (head_ < fifo_.size()) {
+      const std::uint32_t i = fifo_[head_++];
+      ctx.broadcast(i < table_->size() ? table_->at(i)
+                                       : *overflow_order_[i - table_->size()]);
     }
   }
 
-  bool done() const override { return queue_.empty(); }
+  bool done() const override { return head_ == fifo_.size(); }
 
+  /// Every item this node knows, in FieldsLess order: the known table
+  /// entries merged with the overflow map (an overflow entry sharing a
+  /// table entry's values stands in for it).
   std::vector<FloodItem> known_sorted() const {
     std::vector<FloodItem> out;
-    out.reserve(known_.size());
-    for (const auto& [key, item] : known_) out.push_back(item);
+    auto ov = overflow_.begin();
+    for (std::uint32_t i = 0; i < table_->size(); ++i) {
+      if (!is_known(i)) continue;
+      const FloodItem& item = table_->at(i);
+      for (; ov != overflow_.end() && FieldsLess{}(*ov, item); ++ov) {
+        out.push_back(*ov);
+      }
+      if (ov != overflow_.end() && !FieldsLess{}(item, *ov)) {  // same values
+        out.push_back(*ov++);
+      } else {
+        out.push_back(item);
+      }
+    }
+    out.insert(out.end(), ov, overflow_.end());
     return out;
   }
 
  private:
-  // Every delivered copy of every item lands here (Theta(m * items)
-  // calls per flood), so the duplicate check must not allocate: the
-  // key is built in a reused buffer and only genuinely new items pay
-  // for a map insertion.
-  void learn(const FloodItem& item) {
-    key_.resize(item.field_count());
-    for (std::size_t i = 0; i < key_.size(); ++i) key_[i] = item.field(i);
-    if (known_.find(key_) == known_.end()) {
-      known_.emplace(key_, item);
-      queue_.push_back(item);
-    }
+  bool is_known(std::uint32_t i) const {
+    return (known_[i / 64] >> (i % 64) & 1) != 0;
   }
 
-  std::map<std::vector<std::uint64_t>, FloodItem> known_;
-  std::deque<FloodItem> queue_;
-  std::vector<std::uint64_t> key_;  // reused learn() scratch
+  void learn(const FloodItem& item) {
+    const std::uint32_t i = table_->find(item);
+    if (i != FloodTable::kAbsent) {
+      if (is_known(i)) return;
+      known_[i / 64] |= std::uint64_t{1} << (i % 64);
+      if (item == table_->at(i)) {
+        fifo_.push_back(i);
+        return;
+      }
+      // Same values, other widths: the first copy seen is what this
+      // node relays and reports, as a map keyed by values would keep.
+    } else if (overflow_.find(item) != overflow_.end()) {
+      return;
+    }
+    fifo_.push_back(table_->size() +
+                    static_cast<std::uint32_t>(overflow_order_.size()));
+    overflow_order_.push_back(&*overflow_.insert(item).first);
+  }
+
+  const FloodTable* table_;
+  std::vector<std::uint64_t> known_;  ///< one bit per table item
+  std::vector<std::uint32_t> fifo_;   ///< items to relay, in learn order
+  std::size_t head_ = 0;              ///< next fifo_ entry to relay
+  std::set<FloodItem, FieldsLess> overflow_;
+  std::vector<const FloodItem*> overflow_order_;  ///< by overflow slot
 };
 
 std::vector<std::uint64_t> flood_key(const Message& m) {
@@ -536,9 +618,12 @@ FloodResult flood_items(const WeightedGraph& g,
                  "flood item does not fit in one CONGEST message");
     }
   }
+  const FloodTable table(initial);
   auto run = run_on_all<FloodProgram>(
       g,
-      [&](NodeId v) { return std::make_unique<FloodProgram>(std::move(initial[v])); },
+      [&](NodeId v) {
+        return std::make_unique<FloodProgram>(table, initial[v]);
+      },
       config);
   FloodResult out;
   out.stats = run.stats;

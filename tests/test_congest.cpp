@@ -14,6 +14,7 @@
 #include "graph/generators.h"
 #include "runtime/metrics.h"
 #include "runtime/sweep.h"
+#include "runtime/thread_pool.h"
 #include "util/rng.h"
 
 namespace qc::congest {
@@ -848,6 +849,99 @@ TEST(Simulator, ShardedMergePreservesSingleBroadcastInterleave) {
   for (const unsigned workers : {3u, 8u}) {
     EXPECT_EQ(capture(workers, /*sharded_min=*/0), golden)
         << "workers=" << workers;
+  }
+}
+
+// Unicast-heavy traffic for the sharded merge: every activation for
+// `rounds_` rounds interleaves send (by id), broadcast and send_to_slot,
+// so each shard's unicast group must merge with the broadcast buckets
+// in the sender's program order. Every node folds its inbox, in order,
+// into a running hash — any reordering or loss changes an output.
+class UnicastMixProgram final : public NodeProgram {
+ public:
+  explicit UnicastMixProgram(std::uint64_t rounds) : rounds_(rounds) {}
+  void on_round(NodeContext& ctx, std::span<const Incoming> inbox) override {
+    for (const Incoming& in : inbox) {
+      hash_ = hash_ * 1000003 + in.from;
+      hash_ = hash_ * 1000003 + in.msg.field(0) * 4 + in.msg.field(1);
+    }
+    if (round_ < rounds_) {
+      const auto row = ctx.neighbors();
+      const auto deg = static_cast<std::uint32_t>(row.size());
+      const auto r = static_cast<std::uint32_t>(round_);
+      const auto tagged = [&](std::uint64_t tag) {
+        Message m;
+        m.push((ctx.id() + round_) % 4096, 12).push(tag, 2);
+        return m;
+      };
+      ctx.send(row[(ctx.id() + r) % deg].to, tagged(0));
+      ctx.broadcast(tagged(1));
+      ctx.send_to_slot((r * 7 + 3) % deg, tagged(2));
+      ctx.send(row[(r * 5) % deg].to, tagged(3));
+    }
+    ++round_;
+  }
+  bool done() const override { return round_ > rounds_; }
+  std::uint64_t hash() const { return hash_; }
+
+ private:
+  std::uint64_t rounds_;
+  std::uint64_t round_ = 0;
+  std::uint64_t hash_ = 0;
+};
+
+struct MixCapture {
+  RunStats stats;
+  std::vector<TraceEntry> trace;
+  std::vector<RoundMetrics> metrics;
+  std::vector<std::uint64_t> outputs;
+
+  friend bool operator==(const MixCapture&, const MixCapture&) = default;
+};
+
+// Each shard of the sharded merge picks its own receivers out of every
+// sender's unicasts and merges them with its broadcast buckets in the
+// sender's program order: trace, ledger, metrics and outputs must equal
+// the serial engine's. n = 509 (prime, ragged shard cuts) with ~40
+// neighbours each queues ~22,000 deliveries a round, past the default
+// threshold, so the default knob exercises the sharded path as well as
+// the forced one (0).
+TEST(Simulator, ShardedMergeMatchesSerialOnUnicastHeavyRounds) {
+  Rng rng(515);
+  const auto g = gen::erdos_renyi_connected(509, 0.08, rng);
+  const auto capture = [&](runtime::ThreadPool* pool, std::size_t sharded_min) {
+    Config cfg;
+    cfg.record_trace = true;
+    cfg.execution.pool = pool;
+    cfg.execution.sharded_merge_min_messages = sharded_min;
+    MixCapture cap;
+    cfg.on_round_metrics = [&](const RoundMetrics& rm) {
+      cap.metrics.push_back(rm);
+    };
+    std::vector<std::unique_ptr<NodeProgram>> programs;
+    for (NodeId v = 0; v < g.node_count(); ++v) {
+      programs.push_back(std::make_unique<UnicastMixProgram>(4));
+    }
+    Simulator sim(g, cfg);
+    cap.stats = sim.run(programs);
+    cap.trace = sim.trace();
+    for (NodeId v = 0; v < g.node_count(); ++v) {
+      cap.outputs.push_back(
+          static_cast<const UnicastMixProgram&>(*programs[v]).hash());
+    }
+    return cap;
+  };
+  const MixCapture golden =
+      capture(nullptr, Config::Execution{}.sharded_merge_min_messages);
+  ASSERT_EQ(golden.metrics.size(), 5u);
+  EXPECT_GT(golden.metrics[1].messages, 16384u);
+  for (const unsigned workers : {1u, 2u, 8u}) {
+    runtime::ThreadPool pool(workers);
+    for (const std::size_t sharded_min :
+         {std::size_t{0}, Config::Execution{}.sharded_merge_min_messages}) {
+      EXPECT_EQ(capture(&pool, sharded_min), golden)
+          << "workers=" << workers << " sharded_min=" << sharded_min;
+    }
   }
 }
 

@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -31,8 +32,20 @@ namespace {
 
 using namespace congest;  // NOLINT: Simulator, NodeProgram, Config, ...
 
+// Unique per test and per process: gtest_discover_tests makes every
+// case its own ctest process, so under `ctest -j` cases that shared a
+// fixed file name truncated each other's files mid-read (and two build
+// trees testing at once shared them too).
 std::string tmp_path(const std::string& name) {
-  return ::testing::TempDir() + "qc_datasets_" + name;
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string test = info == nullptr ? "none"
+                                     : std::string(info->test_suite_name()) +
+                                           "." + info->name();
+  for (char& c : test) {
+    if (std::isalnum(static_cast<unsigned char>(c)) == 0 && c != '.') c = '_';
+  }
+  return ::testing::TempDir() + "qc_datasets_" + test + "_" +
+         std::to_string(::getpid()) + "_" + name;
 }
 
 std::string slurp(const std::string& path) {

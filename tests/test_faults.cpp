@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <map>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -564,6 +566,171 @@ TEST(ReliableFlood, RejectsDuplicatePayloads) {
   initial[1].push_back(make_item(1, 100));
   initial[13].push_back(make_item(1, 100));
   EXPECT_THROW(flood_items_reliable(g, initial), AlgorithmFailure);
+}
+
+// ---------------------------------------------------------------------
+// Plain flood pinned to a map-based reference
+// ---------------------------------------------------------------------
+
+// The flood program as it was before its state went flat: every node
+// keeps its own map from field values to the first copy it saw and a
+// FIFO of copies to relay. flood_items must match it exactly — the
+// ledger, and items_at at every node — with or without faults.
+class ReferenceFloodProgram final : public NodeProgram {
+ public:
+  explicit ReferenceFloodProgram(std::vector<FloodItem> initial) {
+    for (const FloodItem& item : initial) learn(item);
+  }
+  void on_round(NodeContext& ctx, std::span<const Incoming> inbox) override {
+    for (const Incoming& in : inbox) learn(in.msg);
+    if (!queue_.empty()) {
+      ctx.broadcast(queue_.front());
+      queue_.pop_front();
+    }
+  }
+  bool done() const override { return queue_.empty(); }
+  std::vector<FloodItem> known_sorted() const {
+    std::vector<FloodItem> out;
+    for (const auto& [key, item] : known_) out.push_back(item);
+    return out;
+  }
+
+ private:
+  void learn(const FloodItem& item) {
+    std::vector<std::uint64_t> key(item.field_count());
+    for (std::size_t i = 0; i < key.size(); ++i) key[i] = item.field(i);
+    if (known_.emplace(key, item).second) queue_.push_back(item);
+  }
+  std::map<std::vector<std::uint64_t>, FloodItem> known_;
+  std::deque<FloodItem> queue_;
+};
+
+struct ReferenceFlood {
+  RunOutcome outcome;
+  std::vector<std::vector<FloodItem>> items_at;
+};
+
+ReferenceFlood reference_flood(const WeightedGraph& g,
+                               const std::vector<std::vector<FloodItem>>& initial,
+                               const Config& cfg) {
+  auto run = run_on_all<ReferenceFloodProgram>(
+      g,
+      [&](NodeId v) {
+        return std::make_unique<ReferenceFloodProgram>(initial[v]);
+      },
+      cfg);
+  ReferenceFlood out{run.outcome, {}};
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    out.items_at.push_back(run.at(v).known_sorted());
+  }
+  return out;
+}
+
+// Compares flood_items with the reference in every FloodCollect mode.
+void expect_flood_matches_reference(
+    const WeightedGraph& g, const std::vector<std::vector<FloodItem>>& initial,
+    const Config& cfg) {
+  const ReferenceFlood ref = reference_flood(g, initial, cfg);
+  for (const FloodCollect collect :
+       {FloodCollect::kAllNodes, FloodCollect::kFirstNode,
+        FloodCollect::kStatsOnly}) {
+    const FloodResult got = flood_items(g, initial, cfg, collect);
+    EXPECT_EQ(got.stats, ref.outcome.stats);
+    const std::size_t read_out = collect == FloodCollect::kAllNodes
+                                     ? g.node_count()
+                                     : collect == FloodCollect::kFirstNode
+                                           ? 1
+                                           : 0;
+    ASSERT_EQ(got.items_at.size(), read_out);
+    for (std::size_t v = 0; v < read_out; ++v) {
+      EXPECT_EQ(got.items_at[v], ref.items_at[v]) << "node " << v;
+    }
+  }
+}
+
+TEST(FloodPin, MatchesReferenceFaultFreeInEveryCollectMode) {
+  Rng rng(17);
+  const auto g = gen::erdos_renyi_connected(40, 0.12, rng);
+  std::vector<std::vector<FloodItem>> initial(g.node_count());
+  for (std::uint64_t i = 0; i < 12; ++i) {
+    initial[(i * 7) % g.node_count()].push_back(make_item(i, 100 - i));
+  }
+  for (const unsigned workers : {1u, 2u}) {
+    Config cfg;
+    cfg.workers = workers;
+    expect_flood_matches_reference(g, initial, cfg);
+  }
+}
+
+TEST(FloodPin, MatchesReferenceUnderDropDuplicateDelayCorrupt) {
+  Rng rng(19);
+  const auto g = gen::erdos_renyi_connected(32, 0.15, rng);
+  std::vector<std::vector<FloodItem>> initial(g.node_count());
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    initial[(i * 5) % g.node_count()].push_back(make_item(i, 50 + i));
+  }
+  Config cfg;
+  cfg.faults.seed = 606;
+  cfg.faults.probabilities.drop = 0.10;
+  cfg.faults.probabilities.duplicate = 0.05;
+  cfg.faults.probabilities.delay = 0.05;
+  cfg.faults.probabilities.delay_rounds = 2;
+  // Each corrupted copy floods as a new item and can be corrupted in
+  // turn; keep that branching subcritical (2m · p < 1).
+  cfg.faults.probabilities.corrupt = 0.003;
+  const ReferenceFlood ref = reference_flood(g, initial, cfg);
+  const FaultCounters& fc = ref.outcome.faults;
+  EXPECT_GT(fc.dropped, 0u);
+  EXPECT_GT(fc.duplicated, 0u);
+  EXPECT_GT(fc.delayed, 0u);
+  EXPECT_GT(fc.corrupted, 0u);
+  // Corrupted copies circulate as spurious items: the overflow path ran.
+  std::size_t most = 0;
+  for (const auto& items : ref.items_at) most = std::max(most, items.size());
+  EXPECT_GT(most, 10u);
+  expect_flood_matches_reference(g, initial, cfg);
+}
+
+TEST(FloodPin, CorruptionOntoAnotherItemsValuesKeepsTheFirstCopy) {
+  // Item a = (1:8, 0:4) starts at node 0 and item b = (3:16, 0:4) at
+  // node 7 of a path. Flipping bit 1 of a's first field on edge 0->1
+  // gives node 1 the values of b at a's widths, long before b arrives,
+  // and a never reaches node 1 intact: node 1 must relay and report
+  // that copy as its only item, not b.
+  const auto g = gen::path(8);
+  std::vector<std::vector<FloodItem>> initial(g.node_count());
+  FloodItem a;
+  a.push(1, 8).push(0, 4);
+  FloodItem b;
+  b.push(3, 16).push(0, 4);
+  initial[0].push_back(a);
+  initial[7].push_back(b);
+  Config cfg;
+  cfg.faults.events.push_back(
+      FaultEvent{1, 0, 1, 0, FaultKind::kCorrupt, 1, 0, 2});
+  const ReferenceFlood ref = reference_flood(g, initial, cfg);
+  ASSERT_EQ(ref.outcome.faults.corrupted, 1u);
+  ASSERT_EQ(ref.items_at[1].size(), 1u);
+  EXPECT_EQ(ref.items_at[1][0].field(0), 3u);
+  EXPECT_EQ(ref.items_at[1][0].field_width(0), 8u);  // the corrupted copy
+  expect_flood_matches_reference(g, initial, cfg);
+}
+
+TEST(FloodPin, MatchesReferenceWithMoreThan256Items) {
+  Rng rng(23);
+  const auto g = gen::erdos_renyi_connected(48, 0.1, rng);
+  std::vector<std::vector<FloodItem>> initial(g.node_count());
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    FloodItem item;
+    item.push(i, 9).push((i * 37) % 256, 8);
+    initial[(i * 11) % g.node_count()].push_back(item);
+  }
+  expect_flood_matches_reference(g, initial, Config{});
+  Config faulted;
+  faulted.faults.seed = 77;
+  faulted.faults.probabilities.drop = 0.05;
+  faulted.faults.probabilities.corrupt = 0.001;
+  expect_flood_matches_reference(g, initial, faulted);
 }
 
 // ---------------------------------------------------------------------

@@ -4,6 +4,7 @@
 // checks of the quantum search engine and robustness of the gadget
 // lemmas under non-paper parameters.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
@@ -195,7 +196,8 @@ TEST_P(FuzzSweep, BGraphParserSurvivesByteMutations) {
   Rng rng(GetParam() * 97 + 5);
   const auto g = random_connected(rng, 40, 30);
   const std::string path =
-      ::testing::TempDir() + "qc_fuzz_bgraph_" + std::to_string(GetParam());
+      ::testing::TempDir() + "qc_fuzz_bgraph_" + std::to_string(::getpid()) +
+      "_" + std::to_string(GetParam());
   write_bgraph(g, path);
   std::string good;
   {

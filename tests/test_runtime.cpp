@@ -2,6 +2,7 @@
 // derivation, metrics instruments, and the sweep executor's determinism
 // contract (identical aggregated JSON at any worker count).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cctype>
@@ -580,7 +581,8 @@ TEST(Sweep, UnknownFamilyFailsEveryTask) {
 }
 
 TEST(Sweep, WriteFileRoundTrips) {
-  const std::string path = ::testing::TempDir() + "/sweep_roundtrip.json";
+  const std::string path = ::testing::TempDir() + "/sweep_roundtrip_" +
+                           std::to_string(::getpid()) + ".json";
   write_file(path, "{\"ok\":true}");
   std::ifstream in(path);
   std::string content((std::istreambuf_iterator<char>(in)),

@@ -4,6 +4,7 @@
 // batch size), admission control, registry extension, metrics export,
 // and the NDJSON wire codec.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <future>
@@ -497,7 +498,8 @@ TEST(QueryEngine, Theorem11UnderConcurrentClientsMatchesDirectRuns) {
 
 /// Writes `g` as a bcsr image and returns the path.
 std::string write_test_bcsr(const WeightedGraph& g, const std::string& name) {
-  const std::string path = ::testing::TempDir() + "qc_service_" + name;
+  const std::string path = ::testing::TempDir() + "qc_service_" +
+                           std::to_string(::getpid()) + "_" + name;
   write_csr(g.csr(), path);
   return path;
 }
